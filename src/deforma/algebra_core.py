@@ -151,7 +151,7 @@ class LieAlgebra:
     instead of exceptions).
     """
 
-    __slots__ = ("dim", "name", "_table", "_bracket_cochain")
+    __slots__ = ("dim", "name", "_table", "_bracket_cochain", "_cochain_complex")
 
     def __init__(
         self,
@@ -176,6 +176,8 @@ class LieAlgebra:
                 table[(i, j)] = vec
         self._table = table
         self._bracket_cochain: Cochain | None = None
+        # d_p, B^p and H^p, filled lazily by deforma.cohomology
+        self._cochain_complex: dict = {}
         if check:
             bad = self.validate_jacobi()
             if bad:

@@ -26,14 +26,12 @@ def heisenberg3() -> LieAlgebra:
     return LieAlgebra(3, {(0, 1): Vector((0, 0, 1))}, name="heisenberg3")
 
 
-def sl2(field_char_zero: bool = True) -> LieAlgebra:
+def sl2() -> LieAlgebra:
     """Basis (h, e, f): [h, e] = 2e, [h, f] = -2f, [e, f] = h.
 
     Semisimple, so both cohomology groups in low degree vanish and every
     deformation attempt integrates trivially.
     """
-    if not field_char_zero:
-        raise ValueError("only the characteristic-zero form is provided")
     return LieAlgebra(
         3,
         {

@@ -20,6 +20,12 @@ ordered by increasing index tuple (lexicographic), target basis index
 innermost.  Kernels, image bases, solver witnesses and cohomology
 representatives are all expressed in that ordering, so results are stable
 across runs and platforms.
+
+Each :class:`LieAlgebra` carries a memo, filled here on first use, that
+holds its differential matrices, coboundary bases and per-degree
+:class:`CohomologyResult`, so every function (and every order of a
+deformation march) reuses one build.  The memo lives and dies with the
+algebra; callers get copies of its lists.
 """
 
 from __future__ import annotations
@@ -96,38 +102,33 @@ def ce_differential(L: LieAlgebra, f: Cochain) -> Cochain:
     return left + right if f.degree == 2 else left - right
 
 
+def _differential(L: LieAlgebra, p: int) -> list[list[Fraction]]:
+    """d_p in the canonical coordinates (rows target, columns source),
+    built once per algebra.  d_0 is a |-> [a, .], whose image is the inner
+    derivations; it stays private because the Cochain type starts at
+    degree 1."""
+    memo = L._cochain_complex
+    if ("d", p) not in memo:
+        n = L.dim
+        if p == 0:
+            columns = [[L.bracket_basis(a, x)[k] for x in range(n) for k in range(n)] for a in range(n)]
+        else:
+            dst = CochainSpaceBasis(n, p + 1)
+            columns = [
+                dst.to_coords(ce_differential(L, Cochain(n, p, {t: Vector.basis(n, k)})))
+                for t in CochainSpaceBasis(n, p).tuples
+                for k in range(n)
+            ]
+        memo[("d", p)] = [list(row) for row in zip(*columns)]
+    return memo[("d", p)]
+
+
 def differential_matrix(L: LieAlgebra, p: int) -> list[list[Fraction]]:
     """Matrix of the differential from degree p to degree p+1 in the
     canonical coordinates (rows target, columns source)."""
     if p not in SUPPORTED_DEGREES:
         raise InputError(f"differential supports degrees {SUPPORTED_DEGREES}, got {p}")
-    src = CochainSpaceBasis(L.dim, p)
-    dst = CochainSpaceBasis(L.dim, p + 1)
-    rows = [[Fraction(0)] * src.size for _ in range(dst.size)]
-    col = 0
-    for idx in src.tuples:
-        for k in range(L.dim):
-            elem = Cochain(L.dim, p, {idx: Vector.basis(L.dim, k)})
-            for r, val in enumerate(dst.to_coords(ce_differential(L, elem))):
-                if val:
-                    rows[r][col] = val
-            col += 1
-    return rows
-
-
-def _adjoint_matrix(L: LieAlgebra) -> list[list[Fraction]]:
-    """Coordinates of a |-> [a, .], the degree-0 differential whose image is
-    the inner derivations.  Kept private: the public Cochain type starts at
-    degree 1, but degree-1 cohomology still needs this image."""
-    dst = CochainSpaceBasis(L.dim, 1)
-    rows = [[Fraction(0)] * L.dim for _ in range(dst.size)]
-    for j in range(L.dim):
-        table = {(x,): L.bracket_basis(j, x) for x in range(L.dim)}
-        g = Cochain(L.dim, 1, {k: v for k, v in table.items() if not v.is_zero()})
-        for r, val in enumerate(dst.to_coords(g)):
-            if val:
-                rows[r][j] = val
-    return rows
+    return [row[:] for row in _differential(L, p)]
 
 
 def cocycle_space(L: LieAlgebra, p: int) -> list[Cochain]:
@@ -138,22 +139,17 @@ def cocycle_space(L: LieAlgebra, p: int) -> list[Cochain]:
 
 
 def coboundary_space(L: LieAlgebra, p: int) -> list[Cochain]:
-    """Canonical basis of the degree-p coboundaries (image from below)."""
+    """Canonical basis of the degree-p coboundaries (image from below): the
+    pivot columns of d_{p-1}."""
     if p not in SUPPORTED_DEGREES:
         raise InputError(f"coboundaries supported in degrees {SUPPORTED_DEGREES}, got {p}")
-    src = CochainSpaceBasis(L.dim, p)
-    if p == 1:
-        mat = _adjoint_matrix(L)
-        images = [[row[j] for row in mat] for j in range(L.dim)]
-    else:
-        lower = CochainSpaceBasis(L.dim, p - 1)
-        images = []
-        for idx in lower.tuples:
-            for k in range(L.dim):
-                elem = Cochain(L.dim, p - 1, {idx: Vector.basis(L.dim, k)})
-                images.append(src.to_coords(ce_differential(L, elem)))
-    keep = independent_subset([], images, src.size)
-    return [src.from_coords(images[k]) for k in keep]
+    memo = L._cochain_complex
+    if ("B", p) not in memo:
+        src = CochainSpaceBasis(L.dim, p)
+        images = [list(col) for col in zip(*_differential(L, p - 1))]
+        keep = independent_subset([], images, src.size)
+        memo[("B", p)] = [src.from_coords(images[k]) for k in keep]
+    return list(memo[("B", p)])
 
 
 def coboundary_solve(L: LieAlgebra, target: Cochain) -> Cochain | None:
@@ -180,6 +176,9 @@ def cohomology(L: LieAlgebra, p: int) -> CohomologyResult:
     basis, scanned in canonical order, so no rational combination of them
     is a coboundary.
     """
+    memo = L._cochain_complex
+    if ("H", p) in memo:
+        return memo[("H", p)]
     cocycles = cocycle_space(L, p)
     coboundaries = coboundary_space(L, p)
     basis = CochainSpaceBasis(L.dim, p)
@@ -188,13 +187,14 @@ def cohomology(L: LieAlgebra, p: int) -> CohomologyResult:
     reps = [cocycles[k] for k in independent_subset(b_rows, z_rows, basis.size)]
     if len(reps) != len(cocycles) - len(coboundaries):
         raise ArithmeticError("cohomology bookkeeping failed; coboundaries escape the kernel")
-    return CohomologyResult(
+    result = memo[("H", p)] = CohomologyResult(
         degree=p,
         dim_cocycles=len(cocycles),
         dim_coboundaries=len(coboundaries),
         dim_h=len(cocycles) - len(coboundaries),
         representatives=tuple(reps),
     )
+    return result
 
 
 def class_coordinates(

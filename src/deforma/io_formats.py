@@ -27,7 +27,7 @@ class FormatError(InputError):
     """A file failed to parse; the message carries position information."""
 
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def canonical_json(payload) -> str:
@@ -46,12 +46,16 @@ def sha256_file(path: str) -> str:
 def parse_rational(value, where: str) -> Fraction:
     if not isinstance(value, str):
         raise FormatError(f"{where}: rationals must be strings like \"3\" or \"-1/2\"")
-    match = _RATIONAL_RE.match(value)
+    match = _RATIONAL_RE.fullmatch(value)
     if match is None:
         raise FormatError(f"{where}: malformed rational {value!r}")
-    if match.group(2) == "0":
+    try:
+        num, den = int(match.group(1)), int(match.group(2) or 1)
+    except ValueError as exc:  # CPython's cap on int-string conversion
+        raise FormatError(f"{where}: rational has more digits than the parser accepts") from exc
+    if den == 0:
         raise FormatError(f"{where}: zero denominator in {value!r}")
-    return Fraction(int(match.group(1)), int(match.group(2) or 1))
+    return Fraction(num, den)
 
 
 def render_rational(value: Fraction) -> str:
@@ -77,12 +81,11 @@ def _parse_key(key: str, count: int, dim: int, where: str) -> tuple[int, ...]:
         raise FormatError(f"{where}: key {key!r} must list exactly {count} indices")
     indices = []
     for part in parts:
-        if not re.fullmatch(r"[1-9]\d*", part):
+        if not re.fullmatch(r"[1-9][0-9]*", part):
             raise FormatError(f"{where}: key {key!r} holds a malformed index {part!r}")
-        index = int(part)
-        if index > dim:
-            raise FormatError(f"{where}: key {key!r} references index {index} beyond dim {dim}")
-        indices.append(index - 1)
+        if len(part) > len(str(dim)) or int(part) > dim:
+            raise FormatError(f"{where}: key {key!r} references index {part} beyond dim {dim}")
+        indices.append(int(part) - 1)
     for a, b in zip(indices, indices[1:]):
         if a >= b:
             raise FormatError(f"{where}: key {key!r} must be strictly increasing")
@@ -94,12 +97,26 @@ def _render_key(indices: tuple[int, ...]) -> str:
 
 
 def _load_object(text: str, source: str) -> dict:
+    def unique_keys(pairs: list) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise FormatError(f"{source}: duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise FormatError(
             f"{source}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except FormatError:
+        raise
+    except ValueError as exc:  # CPython's cap on int-string conversion
+        raise FormatError(f"{source}: a JSON number has more digits than the parser accepts") from exc
+    except RecursionError as exc:
+        raise FormatError(f"{source}: JSON nests too deeply") from exc
     if not isinstance(payload, dict):
         raise FormatError(f"{source}: top level must be a JSON object")
     return payload

@@ -116,15 +116,9 @@ def solve(rows: Matrix, rhs: list[Fraction], ncols: int) -> list[Fraction] | Non
 
 def independent_subset(base: Matrix, candidates: Matrix, ncols: int) -> list[int]:
     """Indices of candidates that enlarge the span of ``base``, scanned in
-    order; the greedy scan makes the answer canonical."""
-    current = [row[:] for row in base]
-    current_rank = rank(current, ncols)
-    chosen = []
-    for k, cand in enumerate(candidates):
-        trial = current + [cand[:]]
-        r = rank(trial, ncols)
-        if r > current_rank:
-            chosen.append(k)
-            current = trial
-            current_rank = r
-    return chosen
+    order.  One elimination decides the whole greedy scan: with the vectors
+    as columns, the pivot columns past ``base`` are exactly its picks."""
+    vectors = base + candidates
+    columns = [[v[r] for v in vectors] for r in range(ncols)]
+    pivots = _echelon(_integer_rows(columns), len(vectors))
+    return [c - len(base) for _, c in pivots if c >= len(base)]

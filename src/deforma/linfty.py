@@ -47,7 +47,6 @@ refused rather than silently checking less.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -64,8 +63,6 @@ from .cohomology import ce_differential
 from .deformation import compose
 from .errors import ConstructionError, InputError
 from .signs import koszul_sign, perm_sign, relation_coefficient, unshuffles
-
-logger = logging.getLogger(__name__)
 
 VARIANTS = ("strict", "extended")
 
@@ -333,8 +330,6 @@ class LInftyStructure:
         against degree-1 slot fixed by l2(x, y) = -l2(y, x)."""
         self._check_element(x)
         self._check_element(y)
-        if not x.x1.is_zero() and not y.x1.is_zero():
-            logger.debug("l2 saw two degree-1 arguments; the result is 0 by degree counting")
         out0 = self._pair(x.x0, y.x0, starred=False)
         out1 = self._pair(x.x1.with_starred(False), y.x0, starred=True) - self._pair(
             y.x1.with_starred(False), x.x0, starred=True
@@ -441,8 +436,7 @@ class LInftyStructure:
 
     def _relation_blocks(self, n: int, degrees: tuple[int, ...]):
         """The (inner arity, outer arity, unshuffle, total sign) quadruples of
-        the n-argument generalized Jacobi identity.  Both the defect
-        evaluator and the violation breakdown iterate exactly this."""
+        the n-argument generalized Jacobi identity."""
         for i in (1, 2, 3):
             j = n + 1 - i
             if j not in (1, 2, 3):
@@ -451,24 +445,15 @@ class LInftyStructure:
             for perm, psign in _unshuffle_patterns(i, n - i):
                 yield i, j, perm, coeff * psign * _koszul_cached(perm, degrees)
 
-    def _jacobi_terms(self, args: tuple[GradedElement, ...], degrees: tuple[int, ...]):
-        """Yield (label, signed term) for every block of the n-argument
-        generalized Jacobi identity on the given homogeneous tuple."""
-        maps = self._maps()
-        for i, j, perm, sign in self._relation_blocks(len(args), degrees):
-            inner = maps[i](*(args[t] for t in perm[:i]))
-            outer = maps[j](inner, *(args[t] for t in perm[i:]))
-            term = outer if sign == 1 else -outer
-            yield f"(i={i}, j={j}, perm={perm}, sign={sign:+d})", term
-
     def _jacobi_defect(
         self,
         args: tuple[GradedElement, ...],
         degrees: tuple[int, ...],
-        keys: tuple | None = None,
-        memo: dict | None = None,
-    ) -> GradedElement:
-        """Sum of the signed terms; must be zero.
+        keys: tuple,
+        memo: dict,
+    ) -> tuple[GradedElement, list]:
+        """Sum of the signed terms, which must be zero, and every block with
+        its signed term (None where the inner value vanished).
 
         ``keys``/``memo`` let the scheduler reuse inner evaluations across
         instances (the inner map sees the same generator tuples over and
@@ -477,19 +462,19 @@ class LInftyStructure:
         """
         maps = self._maps()
         total = GradedElement.zero(self.algebra.dim, self.truncation)
+        blocks = []
         for i, j, perm, sign in self._relation_blocks(len(args), degrees):
-            if memo is not None and keys is not None:
-                mkey = (i, *(keys[t] for t in perm[:i]))
-                inner = memo.get(mkey)
-                if inner is None:
-                    inner = memo[mkey] = maps[i](*(args[t] for t in perm[:i]))
-            else:
-                inner = maps[i](*(args[t] for t in perm[:i]))
-            if inner.is_zero():
-                continue
-            outer = maps[j](inner, *(args[t] for t in perm[i:]))
-            total = total + (outer if sign == 1 else -outer)
-        return total
+            mkey = (i, *(keys[t] for t in perm[:i]))
+            inner = memo.get(mkey)
+            if inner is None:
+                inner = memo[mkey] = maps[i](*(args[t] for t in perm[:i]))
+            term = None
+            if not inner.is_zero():
+                outer = maps[j](inner, *(args[t] for t in perm[i:]))
+                term = outer if sign == 1 else -outer
+                total = total + term
+            blocks.append(((i, j, perm, sign), term))
+        return total, blocks
 
     def verify_relations(self) -> RelationReport:
         """Run the full deterministic relation schedule; see the module
@@ -525,12 +510,13 @@ class LInftyStructure:
                             for slot in range(nargs)
                         )
                         args = tuple(self._cached_basis_element(cache, *key) for key in keys)
-                        defect = self._jacobi_defect(args, degrees, keys, memo)
+                        defect, blocks = self._jacobi_defect(args, degrees, keys, memo)
                         instances += 1
                         if not defect.is_zero():
                             terms = tuple(
-                                f"{label}: {term.render()}"
-                                for label, term in self._jacobi_terms(args, degrees)
+                                f"(i={i}, j={j}, perm={perm}, sign={sign:+d}): "
+                                + ("0" if term is None else term.render())
+                                for (i, j, perm, sign), term in blocks
                             )
                             violations.append(
                                 RelationViolation(

@@ -146,6 +146,37 @@ def test_missing_file(files, tmp_path):
     assert "cannot read" in err
 
 
+#: Each of these once ended in a traceback or was accepted with exit 0.
+MALFORMED_INPUTS = {
+    "denominator-00": '{"brackets":{"1,2":["0","0","1/00"]},"dim":3,"name":"x"}',
+    "5000-digit-numerator": '{"brackets":{"1,2":["0","0","%s"]},"dim":3,"name":"x"}' % ("7" * 5000),
+    "5000-digit-index": '{"brackets":{"1,%s":["0","0","1"]},"dim":3,"name":"x"}' % ("2" * 5000),
+    "5000-digit-dim": '{"brackets":{},"dim":%s,"name":"x"}' % ("3" * 5000),
+    "deep-nesting": "[" * 100000,
+    "newline-after-rational": '{"brackets":{"1,2":["0","0","1\\n"]},"dim":3,"name":"x"}',
+    "non-ascii-digit": '{"brackets":{"1,2":["0","0","\u0662"]},"dim":3,"name":"x"}',
+    "duplicate-key": '{"brackets":{"1,2":["0","0","1"],"1,2":["0","0","2"]},"dim":3,"name":"x"}',
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS.keys())
+def test_malformed_input_exits_2_with_one_line(tmp_path, text):
+    path = tmp_path / "input.json"
+    path.write_text(text, encoding="utf-8")
+    env = package_env()
+    env.pop("PYTHONINTMAXSTRDIGITS", None)  # keep CPython's default digit cap
+    proc = subprocess.run(
+        [sys.executable, "-m", "deforma", "validate", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.endswith("\n") and proc.stderr.count("\n") == 1, proc.stderr
+
+
 # ---------------------------------------------------------------- cohomology
 
 
@@ -459,12 +490,20 @@ def test_cochain_degree_exceeding_dim_rejected():
 # ------------------------------------------------------------- entry points
 
 
+def package_env():
+    """The environment with PYTHONPATH pinned to the ``src`` of the imported
+    package, so a subprocess runs this checkout."""
+    src = Path(deforma.__file__).resolve().parents[1]
+    return {**os.environ, "PYTHONPATH": str(src)}
+
+
 def test_module_invocation_matches_in_process(files):
     code, out, _ = invoke(["validate", files["h3"]])
     proc = subprocess.run(
         [sys.executable, "-m", "deforma", "validate", files["h3"]],
         capture_output=True,
         text=True,
+        env=package_env(),
     )
     assert proc.returncode == code == 0
     assert proc.stdout == out
@@ -489,11 +528,10 @@ def test_console_script_installed(files):
         "'console_scripts').load()())\n"
     )
     code, out, _ = invoke(["validate", files["broken"]])
-    src = Path(deforma.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-c", launcher, "validate", files["broken"]],
         capture_output=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env=package_env(),
     )
     assert proc.returncode == code == 1, proc.stderr.decode()
     assert json.loads(proc.stdout)["status"] == "failed"

@@ -195,6 +195,37 @@ def test_class_coordinates_reject_non_cocycle():
         class_coordinates(L, f)
 
 
+def test_per_algebra_memo_keeps_algebras_and_callers_apart():
+    # same dimension, different brackets: answers computed in turn must be
+    # those of a fresh algebra of the same kind, never the other one's
+    twins = {"abelian3": lambda: abelian(3), "heisenberg3": heisenberg3}
+    first = {name: make() for name, make in twins.items()}
+    for p in (1, 2, 3):
+        for name, L in first.items():
+            fresh = twins[name]()
+            assert cohomology(L, p) == cohomology(fresh, p)
+            assert differential_matrix(L, p) == differential_matrix(fresh, p)
+            assert coboundary_space(L, p) == coboundary_space(fresh, p)
+    assert dims_triple(first["abelian3"], 2) == (9, 0, 9)
+    assert dims_triple(first["heisenberg3"], 2) == (8, 3, 5)
+
+    # lists handed out are the caller's to change
+    L = first["heisenberg3"]
+    for p in (1, 2):
+        d = differential_matrix(L, p)
+        expected = [row[:] for row in d]
+        d[0][0] += 7
+        d.append(d[0])
+        assert differential_matrix(L, p) == expected
+        for space in (coboundary_space, cocycle_space):
+            got = space(L, p)
+            expected = list(got)
+            got.append(Cochain.zero(3, p))
+            got.reverse()
+            assert space(L, p) == expected
+    assert cohomology(L, 2) == cohomology(heisenberg3(), 2)
+
+
 # -------------------------------------------------------------- the solver
 
 

@@ -88,6 +88,39 @@ def test_independent_subset_greedy():
     assert independent_subset([e1, e2], [both], 2) == []
 
 
+def greedy_rank_scan(base, candidates, ncols):
+    """Reference: one rank per candidate, keeping those that raise it."""
+    current, chosen = [row[:] for row in base], []
+    for k, cand in enumerate(candidates):
+        if rank(current + [cand], ncols) > rank(current, ncols):
+            chosen.append(k)
+            current.append(cand)
+    return chosen
+
+
+def test_independent_subset_matches_rank_per_candidate_scan(rng):
+    for _ in range(60):
+        ncols = rng.randint(0, 6)
+        pool = rand_matrix(rng, rng.randint(1, 4), ncols)
+
+        def vector():
+            # mostly combinations of a small pool, so dependencies are common
+            if rng.random() < 0.2:
+                return [Fraction(0)] * ncols
+            coeffs = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in pool]
+            return [sum(c * row[k] for c, row in zip(coeffs, pool)) for k in range(ncols)]
+
+        base = [vector() for _ in range(rng.randint(0, 4))]
+        if base and rng.random() < 0.5:
+            base.append(base[0][:])  # a dependent base
+        candidates = [vector() for _ in range(rng.randint(0, 7))]
+        if candidates and rng.random() < 0.5:
+            candidates.insert(rng.randint(0, len(candidates)), rng.choice(candidates)[:])
+        assert independent_subset(base, candidates, ncols) == greedy_rank_scan(
+            base, candidates, ncols
+        )
+
+
 def test_empty_and_zero_edge_cases():
     assert rank([], 3) == 0
     assert nullspace([], 3) == [

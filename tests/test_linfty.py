@@ -257,7 +257,16 @@ def test_doubled_l3_normalization_fails_r2():
     v = by_name["R2"].violations[0]
     assert v.relation == "R2"
     assert v.defect != "0"
-    assert v.terms  # the breakdown is part of the report
+    # the breakdown lists every block, "0" where the inner value vanished
+    assert v.terms == (
+        "(i=1, j=3, perm=(0, 1, 2), sign=+1): 0",
+        "(i=1, j=3, perm=(1, 0, 2), sign=-1): 0",
+        "(i=1, j=3, perm=(2, 0, 1), sign=+1): 0",
+        "(i=2, j=2, perm=(0, 1, 2), sign=+1): 0",
+        "(i=2, j=2, perm=(0, 2, 1), sign=-1): t^2 * [0,0,-1]",
+        "(i=2, j=2, perm=(1, 2, 0), sign=+1): 0",
+        "(i=3, j=1, perm=(0, 1, 2), sign=+1): t^2 * [0,0,2]",
+    )
 
 
 def test_doubled_l3_still_builds_and_other_checks_unaffected():
