@@ -40,6 +40,7 @@ from .errors import (
     ConstructionError,
     DeformaError,
     InputError,
+    NotCocycleError,
     StateError,
 )
 from .io_formats import (
@@ -73,6 +74,7 @@ __all__ = [
     "GradedElement",
     "HomotopyReport",
     "InputError",
+    "NotCocycleError",
     "JacobiViolation",
     "LInftyStructure",
     "LieAlgebra",

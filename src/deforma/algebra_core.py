@@ -26,7 +26,6 @@ from .signs import perm_sign, unshuffles
 DEFAULT_TRUNCATION = 6
 
 _ZERO_VECTORS: dict[int, "Vector"] = {}
-_ZERO_SERIES: dict[tuple[int, int, bool], "TruncatedSeries"] = {}
 
 
 def rat(value: Fraction | int | str) -> Fraction:
@@ -403,14 +402,15 @@ class Cochain:
 class TruncatedSeries:
     """Polynomial in t with Vector coefficients, truncated beyond ``order``.
 
-    ``starred`` marks elements of the degree-1 shifted copy; starred and
-    unstarred series never mix in arithmetic.  Coefficients past the
-    truncation order are silently dropped: that is the whole point of the
-    type.  Two series are equal iff flags, orders and all kept coefficients
-    agree.
+    Only the nonzero coefficients are stored, as a map from t-power to
+    Vector; a missing power is a zero coefficient.  ``starred`` marks
+    elements of the degree-1 shifted copy; starred and unstarred series
+    never mix in arithmetic.  Coefficients past the truncation order are
+    silently dropped: that is the whole point of the type.  Two series are
+    equal iff flags, orders, dimensions and all nonzero coefficients agree.
     """
 
-    __slots__ = ("dim", "order", "starred", "coeffs")
+    __slots__ = ("dim", "order", "starred", "_terms")
 
     def __init__(
         self,
@@ -425,39 +425,38 @@ class TruncatedSeries:
         self.dim = int(dim)
         self.order = int(order)
         self.starred = bool(starred)
-        out: list[Vector] = []
+        terms: dict[int, Vector] = {}
         for k, c in enumerate(coeffs):
             if k > self.order:
                 break
             vec = c if isinstance(c, Vector) else Vector(c)
             if vec.dim != self.dim:
                 raise InputError(f"coefficient {k} has dimension {vec.dim}, expected {self.dim}")
-            out.append(vec)
-        while len(out) < self.order + 1:
-            out.append(Vector.zero(self.dim))
-        self.coeffs = tuple(out)
+            if not vec.is_zero():
+                terms[k] = vec
+        self._terms = terms
 
     @classmethod
     def _raw(
-        cls, dim: int, coeffs: tuple, order: int, starred: bool
+        cls, dim: int, terms: Iterable[tuple[int, Vector]], order: int, starred: bool
     ) -> "TruncatedSeries":
-        # internal fast path: coeffs is a full (order+1)-tuple of Vectors
+        # internal fast path: (power, coefficient) pairs with powers known to
+        # be <= order; zero coefficients are dropped here
         s = cls.__new__(cls)
         s.dim = dim
         s.order = order
         s.starred = starred
-        s.coeffs = coeffs
+        s._terms = {k: v for k, v in terms if not v.is_zero()}
         return s
+
+    def _like(self, terms: Iterable[tuple[int, Vector]]) -> "TruncatedSeries":
+        return TruncatedSeries._raw(self.dim, terms, self.order, self.starred)
 
     @classmethod
     def zero(
         cls, dim: int, *, order: int = DEFAULT_TRUNCATION, starred: bool = False
     ) -> "TruncatedSeries":
-        key = (dim, order, starred)
-        cached = _ZERO_SERIES.get(key)
-        if cached is None:
-            cached = _ZERO_SERIES[key] = cls(dim, (), order=order, starred=starred)
-        return cached
+        return cls(dim, (), order=order, starred=starred)
 
     @classmethod
     def monomial(
@@ -469,10 +468,7 @@ class TruncatedSeries:
         starred: bool = False,
     ) -> "TruncatedSeries":
         """``vec * t**power`` (zero if the power exceeds the truncation)."""
-        if power < 0:
-            raise InputError("t-power must be nonnegative")
-        coeffs = [Vector.zero(vec.dim)] * power + [vec] if power <= order else []
-        return cls(vec.dim, coeffs, order=order, starred=starred)
+        return cls(vec.dim, (vec,), order=order, starred=starred).shift(power)
 
     @property
     def epsilon(self) -> int:
@@ -482,19 +478,15 @@ class TruncatedSeries:
     def coefficient(self, k: int) -> Vector:
         if k < 0:
             raise InputError("t-power must be nonnegative")
-        if k > self.order:
-            return Vector.zero(self.dim)
-        return self.coeffs[k]
+        value = self._terms.get(k)
+        return Vector.zero(self.dim) if value is None else value
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not self._terms
 
     def support(self) -> Iterator[tuple[int, Vector]]:
-        """Pairs (power, coefficient) with nonzero coefficient."""
-        zero = _ZERO_VECTORS.get(self.dim)
-        for k, c in enumerate(self.coeffs):
-            if c is not zero and not c.is_zero():
-                yield k, c
+        """Pairs (power, coefficient) with nonzero coefficient, by increasing power."""
+        return iter(sorted(self._terms.items()))
 
     def _check_compatible(self, other: "TruncatedSeries") -> None:
         if self.starred != other.starred:
@@ -506,32 +498,19 @@ class TruncatedSeries:
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_compatible(other)
-        return TruncatedSeries._raw(
-            self.dim,
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-            self.order,
-            self.starred,
-        )
+        zero = Vector.zero(self.dim)
+        a, b = self._terms, other._terms
+        return self._like((k, a.get(k, zero) + b.get(k, zero)) for k in a.keys() | b.keys())
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_compatible(other)
-        return TruncatedSeries._raw(
-            self.dim,
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
-            self.order,
-            self.starred,
-        )
+        return self + (-other)
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries._raw(
-            self.dim, tuple(-c for c in self.coeffs), self.order, self.starred
-        )
+        return self._like((k, -v) for k, v in self._terms.items())
 
     def __mul__(self, scalar: Fraction | int) -> "TruncatedSeries":
         s = rat(scalar)
-        return TruncatedSeries._raw(
-            self.dim, tuple(s * c for c in self.coeffs), self.order, self.starred
-        )
+        return self._like((k, s * v) for k, v in self._terms.items())
 
     __rmul__ = __mul__
 
@@ -539,25 +518,19 @@ class TruncatedSeries:
         """Multiply by t**k, truncating whatever falls off the end."""
         if k < 0:
             raise InputError("t-power must be nonnegative")
-        zero = Vector.zero(self.dim)
-        coeffs = (zero,) * k + self.coeffs[: self.order + 1 - k]
-        return TruncatedSeries._raw(self.dim, coeffs, self.order, self.starred)
+        return self._like((p + k, v) for p, v in self._terms.items() if p + k <= self.order)
 
     def keep_below(self, k: int) -> "TruncatedSeries":
         """Zero out every coefficient at t-power >= k."""
-        zero = Vector.zero(self.dim)
-        coeffs = tuple(c if i < k else zero for i, c in enumerate(self.coeffs))
-        return TruncatedSeries._raw(self.dim, coeffs, self.order, self.starred)
+        return self._like((p, v) for p, v in self._terms.items() if p < k)
 
     def drop_below(self, k: int) -> "TruncatedSeries":
         """Zero out every coefficient at t-power < k."""
-        zero = Vector.zero(self.dim)
-        coeffs = tuple(c if i >= k else zero for i, c in enumerate(self.coeffs))
-        return TruncatedSeries._raw(self.dim, coeffs, self.order, self.starred)
+        return self._like((p, v) for p, v in self._terms.items() if p >= k)
 
     def with_starred(self, starred: bool) -> "TruncatedSeries":
         """Same coefficients, the other copy of the space (a <-> a^*)."""
-        return TruncatedSeries._raw(self.dim, self.coeffs, self.order, starred)
+        return TruncatedSeries._raw(self.dim, self._terms.items(), self.order, starred)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -565,11 +538,11 @@ class TruncatedSeries:
             and self.starred == other.starred
             and self.order == other.order
             and self.dim == other.dim
-            and self.coeffs == other.coeffs
+            and self._terms == other._terms
         )
 
     def __hash__(self) -> int:
-        return hash((self.dim, self.order, self.starred, self.coeffs))
+        return hash((self.dim, self.order, self.starred, frozenset(self._terms.items())))
 
     def render(self) -> str:
         star = "^*" if self.starred else ""

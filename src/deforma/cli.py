@@ -20,9 +20,9 @@ import os
 import sys
 
 from .algebra_core import DEFAULT_TRUNCATION, Cochain, LieAlgebra
-from .cohomology import ce_differential, cohomology
+from .cohomology import cohomology
 from .deformation import DeformationState, extend
-from .errors import DeformaError, InputError
+from .errors import DeformaError, InputError, NotCocycleError
 from .io_formats import (
     FormatError,
     canonical_json,
@@ -164,10 +164,11 @@ def cmd_deform(ns) -> tuple[dict, dict, int, list[str]]:
     rows = _violation_rows(algebra)
     if rows:
         return (inputs, *_invalid_algebra(rows))
-    if not ce_differential(algebra, alpha1).is_zero():
-        result = {"error": "alpha1 is not a cocycle"}
-        return inputs, result, 1, ["alpha1 is not a cocycle"]
-    final = extend(DeformationState.initial(algebra, alpha1), ns.max_order)
+    try:
+        state = DeformationState.initial(algebra, alpha1)
+    except NotCocycleError as exc:
+        return inputs, {"error": str(exc)}, 1, [str(exc)]
+    final = extend(state, ns.max_order)
     orders = [
         {"order": n, "status": "solved", "witness": cochain_payload(final.alpha(n))}
         for n in range(2, final.order_reached + 1)
@@ -213,11 +214,10 @@ def cmd_linfty(ns) -> tuple[dict, dict, int, list[str]]:
     rows = _violation_rows(algebra)
     if rows:
         return (inputs, *_invalid_algebra(rows))
-    if not ce_differential(algebra, alpha1).is_zero():
-        result = {"error": "alpha1 is not a cocycle"}
-        return inputs, result, 1, ["alpha1 is not a cocycle"]
-
-    strict = LInftyStructure(algebra, alpha1, truncation=truncation, variant="strict")
+    try:
+        strict = LInftyStructure(algebra, alpha1, truncation=truncation, variant="strict")
+    except NotCocycleError as exc:
+        return inputs, {"error": str(exc)}, 1, [str(exc)]
     homotopy = strict.verify_homotopy_identity()
     relations_strict = strict.verify_relations()
     passed = homotopy.passed and relations_strict.passed

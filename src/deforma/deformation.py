@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .algebra_core import Cochain, LieAlgebra
 from .cohomology import ce_differential, class_coordinates, coboundary_solve
-from .errors import InputError, StateError
+from .errors import InputError, NotCocycleError, StateError
 
 
 def compose(f: Cochain, g: Cochain) -> Cochain:
@@ -79,7 +79,7 @@ class DeformationState:
         if alpha1.dim != algebra.dim:
             raise InputError("first-order term dimension does not match the algebra")
         if not ce_differential(algebra, alpha1).is_zero():
-            raise InputError("alpha1 is not a cocycle")
+            raise NotCocycleError("alpha1 is not a cocycle")
         return cls(algebra, (algebra.bracket_cochain(), alpha1), 1)
 
     def alpha(self, i: int) -> Cochain:

@@ -10,6 +10,10 @@ class InputError(DeformaError, ValueError):
     mismatches, out-of-range indices, mixing starred with unstarred series."""
 
 
+class NotCocycleError(InputError):
+    """A first-order term that is not a 2-cocycle; the CLI exits 1 on it."""
+
+
 class StateError(DeformaError):
     """An operation was applied to a state violating its preconditions,
     e.g. asking for an obstruction when a lower-order equation already fails."""

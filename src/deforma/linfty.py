@@ -61,7 +61,7 @@ from .algebra_core import (
 )
 from .cohomology import ce_differential
 from .deformation import compose
-from .errors import ConstructionError, InputError
+from .errors import ConstructionError, InputError, NotCocycleError
 from .signs import koszul_sign, perm_sign, relation_coefficient, unshuffles
 
 VARIANTS = ("strict", "extended")
@@ -78,6 +78,10 @@ _koszul_cached = lru_cache(maxsize=None)(koszul_sign)
 #: Truncation orders below this cannot host every term of the relation
 #: schedule, so the verifier refuses them.
 MIN_VERIFIABLE_TRUNCATION = 6
+
+#: Largest total t-power shift the relation checker adds to one instance's
+#: generators; ``restriction_matches`` compares the maps on the same powers.
+_MAX_SHIFT = 2
 
 
 class GradedElement:
@@ -238,7 +242,7 @@ class LInftyStructure:
         if alpha1.dim != algebra.dim:
             raise InputError("first-order term dimension does not match the algebra")
         if not ce_differential(algebra, alpha1).is_zero():
-            raise InputError("alpha1 is not a cocycle")
+            raise NotCocycleError("alpha1 is not a cocycle")
         if truncation < 3:
             raise InputError("truncation order must be at least 3")
         if require_verifiable and truncation < MIN_VERIFIABLE_TRUNCATION:
@@ -309,21 +313,16 @@ class LInftyStructure:
         """
         T = self.truncation
         dim = self.algebra.dim
-        if p.is_zero() or q.is_zero():
-            return TruncatedSeries.zero(dim, order=T, starred=starred)
-        coeffs = [Vector.zero(dim)] * (T + 1)
+        zero = Vector.zero(dim)
+        terms: dict[int, Vector] = {}
         for i, a in p.support():
             for j, b in q.support():
                 if i + j > T:
                     continue
-                v0 = self.algebra.bracket(a, b)
-                if not v0.is_zero():
-                    coeffs[i + j] = coeffs[i + j] + v0
+                terms[i + j] = terms.get(i + j, zero) + self.algebra.bracket(a, b)
                 if i + j + 1 <= T:
-                    v1 = self.alpha1(a, b)
-                    if not v1.is_zero():
-                        coeffs[i + j + 1] = coeffs[i + j + 1] + v1
-        return TruncatedSeries._raw(dim, tuple(coeffs), T, starred)
+                    terms[i + j + 1] = terms.get(i + j + 1, zero) + self.alpha1(a, b)
+        return TruncatedSeries._raw(dim, terms.items(), T, starred)
 
     def l2(self, x: GradedElement, y: GradedElement) -> GradedElement:
         """Graded two-slot map; antisymmetric on degree 0, with the degree-0
@@ -339,19 +338,17 @@ class LInftyStructure:
     def _l3_series(self, p: TruncatedSeries, q: TruncatedSeries, r: TruncatedSeries) -> TruncatedSeries:
         T = self.truncation
         dim = self.algebra.dim
-        if self._square.is_zero() or p.is_zero() or q.is_zero() or r.is_zero():
-            return TruncatedSeries.zero(dim, order=T, starred=True)
-        coeffs = [Vector.zero(dim)] * (T + 1)
-        for i, a in p.support():
-            for j, b in q.support():
-                for k, c in r.support():
-                    power = i + j + k + 2
-                    if power > T:
-                        continue
-                    w = self._square(a, b, c)
-                    if not w.is_zero():
-                        coeffs[power] = coeffs[power] + self._l3_scale * w
-        return TruncatedSeries._raw(dim, tuple(coeffs), T, True)
+        zero = Vector.zero(dim)
+        terms: dict[int, Vector] = {}
+        if not self._square.is_zero():
+            for i, a in p.support():
+                for j, b in q.support():
+                    for k, c in r.support():
+                        power = i + j + k + 2
+                        if power <= T:
+                            terms[power] = terms.get(power, zero) + self._square(a, b, c)
+        scale = self._l3_scale
+        return TruncatedSeries._raw(dim, ((k, scale * v) for k, v in terms.items()), T, True)
 
     def l3(self, x: GradedElement, y: GradedElement, z: GradedElement) -> GradedElement:
         """Three-slot map valued in degree 1; defined on degree-0 arguments.
@@ -491,7 +488,11 @@ class LInftyStructure:
             else:
                 degree_patterns = [(0,) * nargs]
             if shifted:
-                shift_tuples = [s for s in product(range(3), repeat=nargs) if sum(s) <= 2]
+                shift_tuples = [
+                    s
+                    for s in product(range(_MAX_SHIFT + 1), repeat=nargs)
+                    if sum(s) <= _MAX_SHIFT
+                ]
             else:
                 shift_tuples = [(0,) * nargs]
             instances = 0
@@ -530,28 +531,30 @@ class LInftyStructure:
 def restriction_matches(strict: LInftyStructure, extended: LInftyStructure) -> bool:
     """Do the extended maps agree with the strict ones on the strict domain?
 
-    Compared exactly on generators: l1 and the mixed l2 on starred powers
-    t^2..t^4, the degree-0 l2 and l3 on powers 0..2.
+    Compared exactly on generators at each degree's base power plus up to
+    ``_MAX_SHIFT``: l1 and the mixed l2 on starred powers, the degree-0 l2
+    and l3 on unstarred ones.
     """
     if strict.variant != "strict" or extended.variant != "extended":
         raise InputError("pass the strict structure first, the extended one second")
     dim = strict.algebra.dim
+    shifts = range(_MAX_SHIFT + 1)
     for i in range(dim):
-        for p in range(2, 5):
-            xs = strict.basis_element(i, power=p, starred=True)
+        for p in shifts:
+            xs = strict.basis_element(i, power=strict._base_power(1) + p, starred=True)
             if strict.l1(xs) != extended.l1(xs):
                 return False
             for j in range(dim):
-                for q in range(3):
-                    y = strict.basis_element(j, power=q)
+                for q in shifts:
+                    y = strict.basis_element(j, power=strict._base_power(0) + q)
                     if strict.l2(xs, y) != extended.l2(xs, y):
                         return False
                     if strict.l2(y, xs) != extended.l2(y, xs):
                         return False
     for i in range(dim):
         for j in range(dim):
-            for p in range(3):
-                x = strict.basis_element(i, power=p)
+            for p in shifts:
+                x = strict.basis_element(i, power=strict._base_power(0) + p)
                 y = strict.basis_element(j)
                 if strict.l2(x, y) != extended.l2(x, y):
                     return False

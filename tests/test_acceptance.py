@@ -6,6 +6,7 @@ the full check they annotate.  Each test prints its verdict straight to
 the terminal so the gate is readable in any log.
 """
 
+import hashlib
 import io
 import json
 import random
@@ -175,22 +176,40 @@ def test_criterion_09_ternary_biconditional(capsys):
         assert zero_side > 0 and nonzero_side > 0
 
 
+#: (argv template, exit code, sha256 of stdout).  The digests pin the report
+#: bytes across commits, not only across two runs of one commit; an empty
+#: stdout hashes to e3b0c442...
 CLI_EXAMPLES = [
-    (["validate", "{h3}"], 0),
-    (["validate", "{broken}"], 1),
-    (["validate", "{bad_rational}"], 2),
-    (["cohomology", "{sl2}", "--degree", "2"], 0),
-    (["cohomology", "{ab2}"], 0),
-    (["cohomology", "{h3}", "--degree", "2"], 0),
-    (["deform", "{ab3}", "--alpha1", "{heis}", "--max-order", "5"], 0),
-    (["deform", "{ab3}", "--alpha1", "{obstructed}", "--max-order", "5"], 0),
-    (["deform", "{ab3}", "--alpha1", "{obstructed}", "--require-order"], 1),
-    (["deform", "{sl2}", "--alpha1", "{zero}"], 0),
-    (["deform", "{h3}", "--alpha1", "{non_cocycle}"], 1),
-    (["linfty", "{ab3}", "--alpha1", "{obstructed}"], 0),
-    (["linfty", "{sl2}", "--alpha1", "{zero}"], 0),
-    (["linfty", "{ab3}", "--alpha1", "{obstructed}", "--variant", "extended"], 0),
-    (["linfty", "{ab3}", "--alpha1", "{obstructed}", "--truncation", "5"], 2),
+    (["validate", "{h3}"],
+     0, "cd6e0f44ff54c4a729f9956983ff72efd7f529d9d5f38a54f32ad0732b2adceb"),
+    (["validate", "{broken}"],
+     1, "b97b26485705bd0c3d016432d6a0a98abacf68b54f0c898776b42981d3146179"),
+    (["validate", "{bad_rational}"],
+     2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["cohomology", "{sl2}", "--degree", "2"],
+     0, "99111998901d047db4c04708d99b04d78e66fafc8d1121110cb2f60c44dc87c9"),
+    (["cohomology", "{ab2}"],
+     0, "72753463bbc86bd094626893ccfcc210f04a22af24220e99b2f6e84070766f89"),
+    (["cohomology", "{h3}", "--degree", "2"],
+     0, "ae345daf33b56b8917fcfa438cff786c5f771c4f3c956b37c2c82773f76c3085"),
+    (["deform", "{ab3}", "--alpha1", "{heis}", "--max-order", "5"],
+     0, "48f589912c60686f9b4cb4343c48e671cd6b4da2f06275fa5ea341e097637261"),
+    (["deform", "{ab3}", "--alpha1", "{obstructed}", "--max-order", "5"],
+     0, "4b8cda1fdd5de7534ae55d29bf2b32992649f173d7c73e3ec8eea727de552963"),
+    (["deform", "{ab3}", "--alpha1", "{obstructed}", "--require-order"],
+     1, "b88c77601bce29b8494c31e460d7a3989a9be12c0a420d6e7439df855d75d97e"),
+    (["deform", "{sl2}", "--alpha1", "{zero}"],
+     0, "a625aa473f1fa717e9f6672f131973838dae0f2d1740c3e3d1dcc3acb01989ae"),
+    (["deform", "{h3}", "--alpha1", "{non_cocycle}"],
+     1, "6750ccc8493e2e241cd499c57b5da837a7f990891161575f517f7b5de5d642cb"),
+    (["linfty", "{ab3}", "--alpha1", "{obstructed}"],
+     0, "c7d3b46b86463072bb0740829d484d6b768cc8c3796bf2414ce37da1bc557a15"),
+    (["linfty", "{sl2}", "--alpha1", "{zero}"],
+     0, "f75baa318e3e99a20050b7844dc4d7e926a8889528ccd7fa96f5ee5afa318bfa"),
+    (["linfty", "{ab3}", "--alpha1", "{obstructed}", "--variant", "extended"],
+     0, "6460c9800805e167977c39962c47495454b5c0ea911270d360c2c5f2bdf4fa8b"),
+    (["linfty", "{ab3}", "--alpha1", "{obstructed}", "--truncation", "5"],
+     2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]
 
 
@@ -199,11 +218,13 @@ def test_criterion_10_cli_golden(capsys, tmp_path, monkeypatch):
         capsys, 10, "CLI byte-identical across runs, exit codes honored"
     ):
         monkeypatch.delenv("DEFORMA_TRUNCATION", raising=False)
+        # relative file names keep the reports, and so their digests,
+        # independent of where the test runs
+        monkeypatch.chdir(tmp_path)
 
         def put(name, text):
-            path = tmp_path / name
-            path.write_text(text, encoding="utf-8")
-            return str(path)
+            (tmp_path / name).write_text(text, encoding="utf-8")
+            return name
 
         paths = {
             "h3": put("h3.json", render_algebra(heisenberg3())),
@@ -232,12 +253,13 @@ def test_criterion_10_cli_golden(capsys, tmp_path, monkeypatch):
             code = cli_run(argv, stdout=out, stderr=err)
             return code, out.getvalue()
 
-        for template, expected_code in CLI_EXAMPLES:
+        for template, expected_code, digest in CLI_EXAMPLES:
             argv = [part.format(**paths) for part in template]
             code1, out1 = invoke(argv)
             code2, out2 = invoke(argv)
             assert code1 == code2 == expected_code, argv
             assert out1 == out2, argv
+            assert hashlib.sha256(out1.encode("utf-8")).hexdigest() == digest, argv
             if out1:
                 # reports are canonical single-line JSON
                 parsed = json.loads(out1)

@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ce_oracle as oracle
@@ -282,3 +282,156 @@ def test_series_render():
         2, [Vector((1, 0)), Vector((0, 1))]
     )
     assert two_terms.render() == "[1,0] + t * [0,1]"
+    # a set of t-powers past 7 need not iterate in increasing order
+    high = TruncatedSeries.monomial(Vector((1, 0)), 9, order=10)
+    low = TruncatedSeries.monomial(Vector((0, 1)), 1, order=10)
+    assert (high + low).render() == "t * [0,1] + t^9 * [1,0]"
+
+
+# ------------------------------------------- series against a dense reference
+
+
+class DenseSeries:
+    """Reference: the dense representation TruncatedSeries used to have,
+    every coefficient up to the truncation order stored, zeros included."""
+
+    def __init__(self, dim, coeffs=(), *, order=6, starred=False):
+        if order < 3:
+            raise InputError("truncation order must be at least 3")
+        self.dim, self.order, self.starred = dim, order, starred
+        out = [c if isinstance(c, Vector) else Vector(c) for c in list(coeffs)[: order + 1]]
+        for k, vec in enumerate(out):
+            if vec.dim != dim:
+                raise InputError(f"coefficient {k} has dimension {vec.dim}, expected {dim}")
+        self.coeffs = tuple(out + [Vector.zero(dim)] * (order + 1 - len(out)))
+
+    def _like(self, coeffs, starred=None):
+        flag = self.starred if starred is None else starred
+        return DenseSeries(self.dim, coeffs, order=self.order, starred=flag)
+
+    def coefficient(self, k):
+        if k < 0:
+            raise InputError("t-power must be nonnegative")
+        return self.coeffs[k] if k <= self.order else Vector.zero(self.dim)
+
+    def is_zero(self):
+        return all(c.is_zero() for c in self.coeffs)
+
+    def support(self):
+        return [(k, c) for k, c in enumerate(self.coeffs) if not c.is_zero()]
+
+    def _check_compatible(self, other):
+        if self.starred != other.starred:
+            raise InputError("cannot mix starred and unstarred series")
+        if self.order != other.order:
+            raise InputError(f"truncation orders differ: {self.order} vs {other.order}")
+
+    def __add__(self, other):
+        self._check_compatible(other)
+        return self._like([a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __sub__(self, other):
+        self._check_compatible(other)
+        return self._like([a - b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __neg__(self):
+        return self._like([-c for c in self.coeffs])
+
+    def __mul__(self, scalar):
+        return self._like([rat(scalar) * c for c in self.coeffs])
+
+    def shift(self, k):
+        if k < 0:
+            raise InputError("t-power must be nonnegative")
+        return self._like([Vector.zero(self.dim)] * k + list(self.coeffs))
+
+    def keep_below(self, k):
+        return self._like([c if i < k else Vector.zero(self.dim) for i, c in enumerate(self.coeffs)])
+
+    def drop_below(self, k):
+        return self._like([c if i >= k else Vector.zero(self.dim) for i, c in enumerate(self.coeffs)])
+
+    def with_starred(self, starred):
+        return self._like(self.coeffs, starred)
+
+    def __eq__(self, other):
+        return (self.starred, self.order, self.coeffs) == (other.starred, other.order, other.coeffs)
+
+    def render(self):
+        star = "^*" if self.starred else ""
+        parts = []
+        for k, vec in self.support():
+            prefix = "" if k == 0 else "t * " if k == 1 else f"t^{k} * "
+            parts.append(prefix + vec.render() + star)
+        return " + ".join(parts) if parts else "0"
+
+
+def assert_same_series(sparse, dense):
+    assert (sparse.dim, sparse.order, sparse.starred) == (dense.dim, dense.order, dense.starred)
+    assert sparse.is_zero() == dense.is_zero()
+    assert list(sparse.support()) == dense.support()
+    assert sparse.render() == dense.render()
+    for k in range(dense.order + 3):
+        assert sparse.coefficient(k) == dense.coefficient(k)
+
+
+def outcome(op):
+    """The value of ``op()``, or the InputError it raised."""
+    try:
+        return op()
+    except InputError as exc:
+        return exc
+
+
+series_rows = st.lists(
+    st.lists(st.integers(-2, 2), min_size=2, max_size=2), min_size=0, max_size=12
+)
+series_ops = st.tuples(
+    st.sampled_from(
+        ["+", "-", "neg", "*", "shift", "keep_below", "drop_below", "with_starred"]
+    ),
+    st.integers(0, 7),
+    st.integers(0, 7),
+    st.integers(-2, 12),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([3, 6, 10]),
+    st.lists(st.tuples(series_rows, st.booleans()), min_size=1, max_size=4),
+    st.lists(series_ops, max_size=12),
+)
+def test_series_matches_dense_reference(order, seeds, ops):
+    pool = []
+    for rows, starred in seeds:
+        pool.append(
+            (
+                TruncatedSeries(2, rows, order=order, starred=starred),
+                DenseSeries(2, rows, order=order, starred=starred),
+            )
+        )
+    for name, a, b, n in ops:
+        (sa, da), (sb, db) = pool[a % len(pool)], pool[b % len(pool)]
+        apply = {
+            "+": lambda s, t: s + t,
+            "-": lambda s, t: s - t,
+            "neg": lambda s, t: -s,
+            "*": lambda s, t: s * n,
+            "shift": lambda s, t: s.shift(n),
+            "keep_below": lambda s, t: s.keep_below(n),
+            "drop_below": lambda s, t: s.drop_below(n),
+            "with_starred": lambda s, t: s.with_starred(n % 2 == 1),
+        }[name]
+        got, want = outcome(lambda: apply(sa, sb)), outcome(lambda: apply(da, db))
+        if isinstance(want, InputError):
+            assert isinstance(got, InputError) and str(got) == str(want)
+            continue
+        assert_same_series(got, want)
+        pool.append((got, want))
+    for sa, da in pool:
+        assert_same_series(sa, da)
+        for sb, db in pool:
+            assert (sa == sb) == (da == db)
+            if sa == sb:
+                assert hash(sa) == hash(sb)

@@ -291,7 +291,26 @@ def test_deform_non_cocycle(files):
     )
     assert code == 1
     assert report_of(out)["result"] == {"error": "alpha1 is not a cocycle"}
-    assert "alpha1 is not a cocycle" in err
+    assert err == "alpha1 is not a cocycle\n"
+
+
+@pytest.mark.parametrize("command", ["deform", "linfty"])
+def test_first_order_term_checked_once(files, monkeypatch, command):
+    alpha1 = obstructed_cochain()
+    checks = []
+    for name, module in list(sys.modules.items()):
+        real = getattr(module, "ce_differential", None)
+        if name.startswith("deforma") and real is not None:
+
+            def counting(algebra, cochain, real=real):
+                if cochain == alpha1:
+                    checks.append(cochain)
+                return real(algebra, cochain)
+
+            monkeypatch.setattr(module, "ce_differential", counting)
+    code, _, _ = invoke([command, files["ab3"], "--alpha1", files["obstructed"]])
+    assert code == 0
+    assert len(checks) == 1
 
 
 def test_deform_max_order_floor(files):
@@ -392,7 +411,7 @@ def test_linfty_non_cocycle(files):
     code, out, err = invoke(["linfty", files["h3"], "--alpha1", files["non_cocycle"]])
     assert code == 1
     assert report_of(out)["result"] == {"error": "alpha1 is not a cocycle"}
-    assert "alpha1 is not a cocycle" in err
+    assert err == "alpha1 is not a cocycle\n"
 
 
 # ------------------------------------------------------------- determinism

@@ -9,6 +9,7 @@ from deforma import (
     Cochain,
     DeformationState,
     InputError,
+    NotCocycleError,
     StateError,
     Vector,
     ce_differential,
@@ -124,7 +125,7 @@ def test_rho2_is_a_cocycle_everywhere(structure):
 def test_initial_rejects_non_cocycle():
     L = heisenberg3()
     bad = Cochain(3, 2, {(0, 2): Vector((1, 0, 0))})
-    with pytest.raises(InputError, match="not a cocycle"):
+    with pytest.raises(NotCocycleError, match="not a cocycle"):
         DeformationState.initial(L, bad)
     with pytest.raises(InputError):
         DeformationState.initial(L, Cochain(3, 3, {}))

@@ -16,6 +16,7 @@ from deforma import (
     GradedElement,
     InputError,
     LInftyStructure,
+    NotCocycleError,
     TruncatedSeries,
     Vector,
     build_extended,
@@ -83,7 +84,7 @@ def test_truncation_floor():
 
 def test_non_cocycle_is_rejected():
     bad = Cochain(3, 2, {(0, 2): Vector((1, 0, 0))})
-    with pytest.raises(InputError, match="not a cocycle"):
+    with pytest.raises(NotCocycleError, match="not a cocycle"):
         LInftyStructure(heisenberg3(), bad)
 
 
